@@ -81,7 +81,7 @@ class FailureInjector:
 
         Uses the kernel's event-index probe, so the crash lands between
         two dispatches at the exact same index on every replay of the
-        same schedule, independent of wall time or kernel variant.  A
+        same schedule, independent of wall time.  A
         server that is already down at the probe instant is left alone
         (the schedule's recovery step will revive it).
         """

@@ -6,9 +6,9 @@ the SoA timeline, message drops/duplicates/delays keyed to exact send
 counters, partition windows — and runs the trace-driven
 :class:`~repro.obs.invariants.InvariantChecker` plus WAL/namespace
 post-conditions after every schedule.  The same seed reproduces the
-identical schedule list and verdicts byte-for-byte, across runs and
-across kernel variants; failing schedules shrink (ddmin) to a minimal
-fault list that still violates.
+identical schedule list and verdicts byte-for-byte across runs;
+failing schedules shrink (ddmin) to a minimal fault list that still
+violates.
 
 Entry points: ``python -m repro fuzz`` or :func:`run_fuzz`.
 """

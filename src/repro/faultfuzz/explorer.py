@@ -16,7 +16,7 @@ runs:
 
 Verdicts are pure functions of ``(seed, schedule index)``: no wall
 clock enters any result field, so the same seed reproduces the same
-report byte-for-byte on either kernel variant, and ``run_tasks`` keeps
+report byte-for-byte, and ``run_tasks`` keeps
 results task-ordered when the grid fans across processes.
 """
 
@@ -375,8 +375,8 @@ def run_schedule(faults: Sequence[Fault], seed: int,
     except Exception as exc:
         return ScheduleResult(
             index=index, seed=seed, faults=fault_dicts, verdict="crashed",
-            # repr only — tracebacks differ between kernel variants and
-            # would break byte-identical verdicts.
+            # repr only — tracebacks carry file paths and line numbers
+            # and would break byte-identical verdicts.
             error=repr(exc),
         )
 

@@ -11,7 +11,7 @@ deterministic coordinate of the replay:
 
 Both coordinates are pure functions of the replay itself — no wall
 clock, no OS scheduling — so a schedule replays identically on every
-run and on both kernel variants.  ``delay`` doubles as the reordering
+run.  ``delay`` doubles as the reordering
 primitive: delaying one message past its followers reorders the
 stream; ``dup`` re-delivers the same message later (exercising the
 server-side duplicate tables).

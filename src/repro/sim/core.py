@@ -22,15 +22,13 @@ around three ideas:
   wrapper kept only at API boundaries — process returns, ``AllOf`` /
   ``AnyOf`` conditions, RPC replies, triggers — where user code holds a
   reference across the fire.  The heap, the same-instant FIFO lanes,
-  and the pop/dispatch loop carry both currencies and discriminate with
+  and the run loop carry both currencies and discriminate with
   a single ``type(x) is int`` test.
 
   (The state columns are plain Python lists rather than ``array('d')``
   / ``array('q')``: under CPython, reading an ``array`` element boxes a
   fresh ``float``/``int`` object per access, which benchmarks *slower*
-  than a list of already-boxed values on this loop.  A compiled build
-  unboxes list elements anyway, so lists are the right representation
-  for both variants.)
+  than a list of already-boxed values on this loop.)
 
 * **Same-timestamp FIFO fast lanes + pooled-node heap.**  Most
   schedules are ``delay=0`` wakeups whose sort key ``(now, priority,
@@ -39,31 +37,27 @@ around three ideas:
   O(1), no heap sift.  Real delays use a binary heap of reusable
   4-slot ``[time, priority, seq, handle-or-event]`` nodes drawn from a
   free pool.  (A hand-rolled heap over the state columns was measured
-  and rejected: interpreted sift loops lose badly to C ``heapq``, and
-  the compiled build is happy with either.)
+  and rejected: interpreted sift loops lose badly to C ``heapq``.)
 
-* **Batched same-instant dispatch.**  When the clock lands on an
-  instant, the run loop checks *once* whether the heap's front entry is
-  due at this instant.  If it is not, no heap entry can become due
-  before the lanes drain (``delay > 0`` schedules strictly into the
-  future), so the loop drains every ready handle of the instant in one
-  tight loop — two deque truth-tests and a dispatch per event, with the
-  heap-arbitration test, the ``until`` bound, and the clock reads all
-  hoisted out of the per-event path.  Only the rare instant where a
-  delayed event has landed on top of lane traffic pays the sequence
-  arbitration, which resolves exactly as the old single-heap ordering
-  did.
+* **One run loop.**  :meth:`Simulator.run` and
+  :meth:`Simulator.run_until` are thin front ends over a single loop,
+  ``_loop``, and every event it pops goes through the same
+  ``_dispatch`` body that :meth:`Simulator.step` uses, so the three
+  drivers cannot disagree on order or on the event count.  Between
+  two events the loop checks the event-index probe (one attribute
+  test while disarmed) and the caller's stop condition.  It then tests
+  the heap's front entry: lane traffic pops straight off its deque
+  unless a heap entry is due at the current instant, and only then
+  does ``_pop_next`` arbitrate by sequence number.  The test is made
+  per event, not per instant, because a positive delay can round to
+  ``now`` (``1.0 + 1e-17 == 1.0``) and land a heap entry on an instant
+  whose lane traffic is still draining.
 
 Pop order — and therefore every replay result — is bit-identical to
 the previous object-per-event kernel: handles burn sequence numbers
 exactly where ``Event`` objects did, and the golden-replay suite
 (``tests/golden``) pins the complete schedule for all three bench
-protocols.
-
-This module and :mod:`repro.sim.events` are the compilation unit of
-the optional mypyc-accelerated build (``REPRO_MYPYC=1 pip install -e
-.[accel]``); ``repro.sim.KERNEL_VARIANT`` reports which variant is
-running.  Nothing here may import simulation layers above ``sim/``.
+protocols.  Nothing here may import simulation layers above ``sim/``.
 
 Typical usage::
 
@@ -171,8 +165,6 @@ class Simulator:
         self._n_extra = 0
         # -- event-index probe (fault-schedule injection) ---------------
         #: event index at which the armed probe fires; -1 when disarmed.
-        #: Checked once per run()/run_until() call, not per event, so an
-        #: unarmed probe costs nothing on the replay hot path.
         self._probe_at = -1
         self._probe_cb: Optional[Callable[[], None]] = None
 
@@ -458,10 +450,10 @@ class Simulator:
         batched-delivery extras) is ``>= at_index``, from inside
         :meth:`run` / :meth:`run_until`.  The callback may re-arm the
         probe to chain injections.  Only one probe can be armed at a
-        time; while armed, the kernel drives events through the step-wise
-        :meth:`_run_probed` loop (exact counts, ~2x slower), and returns
-        to the batched fast path as soon as the probe is disarmed — an
-        unarmed probe costs one attribute check per run() call.
+        time.  The run loop checks the probe before every event, so the
+        count is exact at every boundary whether the probe was armed
+        before the run or by a callback during it; a disarmed probe costs
+        one attribute test per event.  :meth:`step` does not check it.
         """
         if at_index < 0:
             raise ValueError(f"negative probe index {at_index!r}")
@@ -475,167 +467,65 @@ class Simulator:
         self._probe_at = -1
         self._probe_cb = None
 
-    def _run_probed(self, until: Optional[float], event: Optional[Event]) -> None:
-        """Step-wise drive loop used while an event-index probe is armed.
+    def _loop(self, until: Optional[float], event: Optional[Event]) -> None:
+        """Pop and dispatch events until the caller's stop condition.
 
-        Mirrors the caller's stop condition (``run(until)`` when
-        ``event`` is None, else ``run_until(event)``) but processes one
-        event at a time so the dispatched count is exact at every
-        boundary.  Returns when the probe is disarmed (caller resumes
-        its fast loop) or when the caller's stop condition is due
-        (caller observes it immediately and finishes).
+        ``run(until)`` passes ``event=None`` and stops when the queue
+        drains or the next event is later than ``until``;
+        ``run_until(event)`` stops once ``event`` is processed and
+        raises if the queue drains first.  Same-instant lane traffic
+        pops without arbitration unless a heap entry is due now.
         """
-        while self._probe_at >= 0:
-            if self._n_dispatched + self._n_extra >= self._probe_at:
+        heap = self._heap
+        lane_u = self._lane_urgent
+        lane_n = self._lane_normal
+        free = self._free_nodes
+        pop = heapq.heappop
+        dispatch = self._dispatch
+        while True:
+            if (self._probe_at >= 0
+                    and self._n_dispatched + self._n_extra >= self._probe_at):
                 cb = self._probe_cb
-                self._probe_at = -1
-                self._probe_cb = None
+                self.disarm_probe()
                 assert cb is not None
                 cb()  # may re-arm for a later index
                 continue
-            if event is not None:
-                if event.callbacks is None:  # processed
+            if event is not None and event.callbacks is None:  # processed
+                return
+            if lane_u or lane_n:
+                if heap and heap[0][0] == self._now:
+                    x = self._pop_next()
+                elif lane_u:
+                    x = lane_u.popleft()
+                else:
+                    x = lane_n.popleft()
+            elif heap:
+                node = heap[0]
+                if until is not None and node[0] > until:
                     return
-                if not (self._lane_urgent or self._lane_normal or self._heap):
-                    raise SimulationError(
-                        f"queue drained before {event!r} was processed"
-                    )
-            elif not (self._lane_urgent or self._lane_normal):
-                if not self._heap:
-                    return
-                if until is not None and self._heap[0][0] > until:
-                    return
-            self.step()
+                pop(heap)
+                self._now = node[0]
+                x = node[3]
+                node[3] = None
+                free.append(node)
+            elif event is not None:
+                raise SimulationError(
+                    f"queue drained before {event!r} was processed"
+                )
+            else:
+                return
+            self._n_dispatched += 1
+            dispatch(x)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains, or until virtual time ``until``.
 
         With ``until`` given, the clock is advanced to exactly ``until``
         even if the queue drains early, so periodic measurements line up.
-
-        The pop + dispatch machinery is inlined here and in
-        :meth:`run_until`: at hundreds of thousands of events per
-        replay, per-event method calls and attribute lookups are a
-        measurable share of the whole run.  Each instant is drained in
-        a batched tight loop — see the module docstring.
         """
         if until is not None and until < self._now:
             raise ValueError(f"until={until!r} is in the past (now={self._now!r})")
-        if self._probe_at >= 0:
-            self._run_probed(until, None)
-        heap = self._heap
-        lane_u = self._lane_urgent
-        lane_n = self._lane_normal
-        free = self._free_nodes
-        pop = heapq.heappop
-        ast = self._ast
-        aval = self._aval
-        acb = self._acb
-        afree = self._afree
-        # The event counter lives in a local inside the loop (an attribute
-        # store per event is measurable); the finally block publishes it
-        # even when a callback raises.
-        n = 0
-        try:
-            while True:
-                if lane_u or lane_n:
-                    if not heap or heap[0][0] > self._now:
-                        # Batched instant drain: no heap entry is due at
-                        # this instant, and none can become due before
-                        # the lanes empty (delay>0 schedules strictly
-                        # later) — so dispatch lane traffic back-to-back
-                        # with no heap or clock checks per event.
-                        while True:
-                            if lane_u:
-                                x = lane_u.popleft()
-                            elif lane_n:
-                                x = lane_n.popleft()
-                            else:
-                                break
-                            n += 1
-                            if type(x) is int:
-                                cb = acb[x]
-                                if cb is not None:
-                                    acb[x] = None
-                                    cb(x)
-                                st = ast[x]
-                                if st & 6 == 2:
-                                    self._n_dispatched += n
-                                    n = 0
-                                    exc = aval[x]
-                                    raise SimulationError(
-                                        f"unhandled failure of handle {x} at "
-                                        f"t={self._now:.6f}: {exc!r}"
-                                    ) from exc
-                                ast[x] = 0
-                                aval[x] = None
-                                afree.append(x)
-                            else:
-                                callbacks = x.callbacks
-                                x.callbacks = None  # mark processed
-                                if len(callbacks) == 1:
-                                    callbacks[0](x)
-                                else:
-                                    for cb in callbacks:
-                                        cb(x)
-                                if x._ok is False and not x._defused:
-                                    self._n_dispatched += n
-                                    n = 0
-                                    exc = x._exc
-                                    raise SimulationError(
-                                        f"unhandled failure of {x!r} at "
-                                        f"t={self._now:.6f}: {exc!r}"
-                                    ) from exc
-                        continue
-                    # Rare: a delayed event landed on this instant while
-                    # lane traffic is queued — arbitrate per event.
-                    x = self._pop_next()
-                elif heap:
-                    if until is not None and heap[0][0] > until:
-                        break
-                    node = pop(heap)
-                    self._now = node[0]
-                    x = node[3]
-                    node[3] = None
-                    free.append(node)
-                else:
-                    break
-                n += 1
-                if type(x) is int:
-                    cb = acb[x]
-                    if cb is not None:
-                        acb[x] = None
-                        cb(x)
-                    st = ast[x]
-                    if st & 6 == 2:
-                        self._n_dispatched += n
-                        n = 0
-                        exc = aval[x]
-                        raise SimulationError(
-                            f"unhandled failure of handle {x} at "
-                            f"t={self._now:.6f}: {exc!r}"
-                        ) from exc
-                    ast[x] = 0
-                    aval[x] = None
-                    afree.append(x)
-                else:
-                    callbacks = x.callbacks
-                    x.callbacks = None  # mark processed
-                    if len(callbacks) == 1:
-                        callbacks[0](x)
-                    else:
-                        for cb in callbacks:
-                            cb(x)
-                    if x._ok is False and not x._defused:
-                        self._n_dispatched += n
-                        n = 0
-                        exc = x._exc
-                        raise SimulationError(
-                            f"unhandled failure of {x!r} at "
-                            f"t={self._now:.6f}: {exc!r}"
-                        ) from exc
-        finally:
-            self._n_dispatched += n
+        self._loop(until, None)
         if until is not None:
             self._now = until
 
@@ -649,113 +539,7 @@ class Simulator:
             event.callbacks.append(
                 lambda e: e.defuse() if e._ok is False else None
             )
-        if self._probe_at >= 0:
-            self._run_probed(None, event)
-        heap = self._heap
-        lane_u = self._lane_urgent
-        lane_n = self._lane_normal
-        free = self._free_nodes
-        pop = heapq.heappop
-        ast = self._ast
-        aval = self._aval
-        acb = self._acb
-        afree = self._afree
-        n = 0
-        try:
-            while event.callbacks is not None:  # not yet processed
-                if lane_u or lane_n:
-                    if not heap or heap[0][0] > self._now:
-                        # Batched instant drain (see run()); additionally
-                        # bounded by the waited-on event completing.
-                        while event.callbacks is not None:
-                            if lane_u:
-                                x = lane_u.popleft()
-                            elif lane_n:
-                                x = lane_n.popleft()
-                            else:
-                                break
-                            n += 1
-                            if type(x) is int:
-                                cb = acb[x]
-                                if cb is not None:
-                                    acb[x] = None
-                                    cb(x)
-                                st = ast[x]
-                                if st & 6 == 2:
-                                    self._n_dispatched += n
-                                    n = 0
-                                    exc = aval[x]
-                                    raise SimulationError(
-                                        f"unhandled failure of handle {x} at "
-                                        f"t={self._now:.6f}: {exc!r}"
-                                    ) from exc
-                                ast[x] = 0
-                                aval[x] = None
-                                afree.append(x)
-                            else:
-                                callbacks = x.callbacks
-                                x.callbacks = None  # mark processed
-                                if len(callbacks) == 1:
-                                    callbacks[0](x)
-                                else:
-                                    for cb in callbacks:
-                                        cb(x)
-                                if x._ok is False and not x._defused:
-                                    self._n_dispatched += n
-                                    n = 0
-                                    exc = x._exc
-                                    raise SimulationError(
-                                        f"unhandled failure of {x!r} at "
-                                        f"t={self._now:.6f}: {exc!r}"
-                                    ) from exc
-                        continue
-                    x = self._pop_next()
-                elif heap:
-                    node = pop(heap)
-                    self._now = node[0]
-                    x = node[3]
-                    node[3] = None
-                    free.append(node)
-                else:
-                    raise SimulationError(
-                        f"queue drained before {event!r} was processed"
-                    )
-                n += 1
-                if type(x) is int:
-                    cb = acb[x]
-                    if cb is not None:
-                        acb[x] = None
-                        cb(x)
-                    st = ast[x]
-                    if st & 6 == 2:
-                        self._n_dispatched += n
-                        n = 0
-                        exc = aval[x]
-                        raise SimulationError(
-                            f"unhandled failure of handle {x} at "
-                            f"t={self._now:.6f}: {exc!r}"
-                        ) from exc
-                    ast[x] = 0
-                    aval[x] = None
-                    afree.append(x)
-                else:
-                    callbacks = x.callbacks
-                    x.callbacks = None  # mark processed
-                    if len(callbacks) == 1:
-                        callbacks[0](x)
-                    else:
-                        for cb in callbacks:
-                            cb(x)
-                    if x._ok is False and not x._defused:
-                        self._n_dispatched += n
-                        n = 0
-                        exc = x._exc
-                        raise SimulationError(
-                            f"unhandled failure of {x!r} at "
-                            f"t={self._now:.6f}: {exc!r}"
-                        ) from exc
-        finally:
-            self._n_dispatched += n
+        self._loop(None, event)
         if event._ok is False:
             event.defuse()
             raise event._exc  # type: ignore[misc]

@@ -26,7 +26,7 @@ Determinism: every process stream is a pure function of
 never of cluster *state* or replay timing.  Handles are minted
 arithmetically from a per-process serial (no shared allocator), so the
 same seed yields byte-identical streams across runs, ``--jobs`` worker
-counts, kernel variants, and protocols.
+counts, and protocols.
 """
 
 from __future__ import annotations

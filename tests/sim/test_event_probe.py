@@ -3,8 +3,8 @@
 The fault explorer crashes servers "at event N".  The kernel supports
 that with a single armed probe whose callback fires *between* two
 dispatches, at the first instant ``events_processed >= N`` — inside
-``run()`` and ``run_until()``, on both kernel variants, at zero cost
-while disarmed.  These tests pin the firing index, the chaining
+``run()`` and ``run_until()``, at one attribute test per event while
+disarmed.  These tests pin the firing index, the chaining
 re-arm, the interaction with ``until`` bounds, and the ``cancel_h``
 crash-path companion.
 """
@@ -132,7 +132,7 @@ class TestProbe:
         assert seen[0] >= 20
 
     def test_replay_identical_with_and_without_probe(self):
-        """The step-wise probed loop must not perturb the schedule."""
+        """An armed probe must not perturb the schedule."""
 
         def run_once(probed):
             sim = Simulator()

@@ -137,3 +137,81 @@ class TestDeterminism:
             return log
 
         assert trace_run() == trace_run()
+
+
+DRIVERS = ("run", "run_until", "step")
+
+
+def _drive(sim, driver, until_event):
+    """Run ``sim`` to exhaustion with one of the three drivers."""
+    if driver == "run":
+        sim.run()
+    elif driver == "run_until":
+        sim.run_until(until_event)
+    else:
+        while sim.peek() != float("inf"):
+            sim.step()
+
+
+class TestDriversAgree:
+    """``run``, ``run_until`` and a ``step()`` loop share one dispatch
+    order and one event count."""
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_delay_rounding_to_now_orders_by_sequence(self, driver):
+        # At now == 1.0, B's timeout(1e-17) lands on the heap *at* 1.0,
+        # scheduled before C's delay-0 lane timeout.  (time, priority,
+        # seq) order puts B first even though lane traffic is draining.
+        assert 1.0 + 1e-17 == 1.0
+        sim = Simulator()
+        order = []
+
+        def b():
+            yield sim.timeout(1e-17)
+            order.append("B")
+
+        def c():
+            yield sim.timeout(0)
+            order.append("C")
+
+        def starter():
+            yield sim.timeout(1.0)
+            sim.process(b())
+            sim.process(c())
+
+        sim.process(starter())
+        done = sim.event()
+
+        def finish():
+            yield sim.timeout(2.0)
+            done.succeed()
+
+        sim.process(finish())
+        _drive(sim, driver, done)
+        assert order == ["B", "C"]
+
+    @pytest.mark.parametrize("currency", ("handle", "event"))
+    def test_unhandled_failure_counts_the_failing_event(self, currency):
+        def build():
+            sim = Simulator()
+
+            def crasher():
+                for _ in range(3):
+                    yield sim.timeout(0.5)
+                if currency == "handle":
+                    sim.fail_h(sim.event_h(), RuntimeError("boom"))
+                else:
+                    sim.event().fail(RuntimeError("boom"))
+                yield sim.timeout(1.0)
+
+            sim.process(crasher())
+            return sim
+
+        counts = []
+        for driver in DRIVERS:
+            sim = build()
+            with pytest.raises(SimulationError, match="unhandled failure"):
+                _drive(sim, driver, sim.event())
+            counts.append(sim.events_processed)
+        # bootstrap + three timeouts + the failed event itself
+        assert counts == [5, 5, 5]
