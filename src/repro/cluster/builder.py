@@ -98,6 +98,9 @@ class Cluster:
             tracer.bind(sim)
         self.network = Network(sim, params, tracer=self.tracer)
         self.placement = PlacementPolicy(num_servers, self.rngs.stream("placement"))
+        #: Node ids built once: every request a client sends carries
+        #: one, and a pending op may keep its request until commitment.
+        self._server_ids = [server_node_id(i) for i in range(num_servers)]
         # Streaming mode folds per-op records into bounded counters and
         # a log-bucketed histogram — the million-op scale cells cannot
         # afford one OpRecord per operation.
@@ -196,7 +199,7 @@ class Cluster:
         return self.servers[index]
 
     def server_id(self, index: int) -> str:
-        return server_node_id(index)
+        return self._server_ids[index]
 
     def client_process(self, client: int, proc: int) -> ClientProcess:
         """The (cached) process ``proc`` of client machine ``client``."""

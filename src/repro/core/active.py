@@ -112,8 +112,12 @@ class ActiveObjectTable:
 
     # -- registration -----------------------------------------------------
 
-    def register(self, op_id: OpId, keys: Iterable[Any]) -> None:
-        keys = list(keys)
+    def register(self, op_id: OpId, keys: List[Any]) -> None:
+        """Mark ``keys`` active for ``op_id``.
+
+        Keeps the caller's list (the pending op holds the same one), so
+        it must not be mutated while the op is active.
+        """
         for key in keys:
             self._holder.setdefault(key, []).append(op_id)
         self._keys_of[op_id] = keys

@@ -574,7 +574,7 @@ class CommitManager:
                 MessageKind.ALL_NO,
                 {"op_id": pend.op_id, "errno": errno},
             )
-        for ev in pend.waiters:
+        for ev in pend.waiters or ():
             if not ev.triggered:
                 ev.succeed()
 

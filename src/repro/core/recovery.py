@@ -262,7 +262,7 @@ class CxRecovery:
             done_events = []
             for pend in chunk:
                 ev = sim.event()
-                pend.waiters.append(ev)
+                pend.waiters = [ev]
                 done_events.append(ev)
             role.commit_mgr.launch_ops(chunk, "recovery")
             winner, _val = yield sim.any_of(
@@ -287,37 +287,23 @@ class CxRecovery:
 
     def _redo(self, op_id: OpId, result_rec: LogRecord) -> PendingOp:
         """Rebuild a pending op from its Result-Record (redo updates)."""
+        from repro.core.active import conflict_keys
+
         role = self.role
         payload = result_rec.payload
         subop = payload["subop"]
         ok = payload["ok"]
-
-        from repro.core.active import conflict_keys
-        from repro.fs.namespace import ExecResult
-
-        res = ExecResult(
-            ok=ok,
-            errno=payload["errno"],
-            updates=list(payload["updates"]),
-            undo=list(payload["undo"]),
-        )
         keys = conflict_keys(subop)
         redo_event = None
         if ok:
             # Conservative redo: write-through, one txn per operation.
-            events = role.server.shard.apply_sync(res.updates)
+            events = role.server.shard.apply_sync(payload["updates"])
             redo_event = events[0] if events else None
             if subop.role in ("coord", "part"):
                 role.active.register(op_id, keys)
         pend = PendingOp(
-            op_id=op_id,
-            subop=subop,
-            role=subop.role,
-            other_server=payload["other_server"],
-            result=res,
-            record=result_rec,
+            result_rec,
             keys=keys if (ok and subop.role in ("coord", "part")) else [],
-            state=PendingState.EXECUTED,
         )
         # The Result-Record was read back from the durable log.
         pend.logged = True
@@ -418,7 +404,7 @@ class CxRecovery:
                 # Peer unreachable: park the decided op for re-delivery
                 # by the trigger scan.  The records stay in the log so a
                 # second crash here re-parks it.
-                self._park_for_redelivery(op_id, payload, committed)
+                self._park_for_redelivery(result_rec, committed)
                 return
             assert ack.kind is MessageKind.ACK
         yield server.wal.append_h(
@@ -433,27 +419,9 @@ class CxRecovery:
             "errno": payload["errno"],
         }
 
-    def _park_for_redelivery(
-        self, op_id: OpId, payload: dict, committed: bool
-    ) -> None:
-        from repro.fs.namespace import ExecResult
-
+    def _park_for_redelivery(self, result_rec: LogRecord, committed: bool) -> None:
         role = self.role
-        res = ExecResult(
-            ok=payload["ok"],
-            errno=payload["errno"],
-            updates=list(payload["updates"]),
-            undo=list(payload["undo"]),
-        )
-        pend = PendingOp(
-            op_id=op_id,
-            subop=payload["subop"],
-            role=payload["subop"].role,
-            other_server=payload["other_server"],
-            result=res,
-            record=None,
-            state=PendingState.COMMITTING,
-        )
+        pend = PendingOp(result_rec, state=PendingState.COMMITTING)
         pend.logged = True
         pend.decided = committed
         m = self._m_parked

@@ -359,9 +359,9 @@ class CxRole(ServerRole):
             return True
         pend = self.pending.get(op_id)
         if pend is not None and pend.subop.role == subop.role:
-            if pend.last_response is not None:
-                kind, payload = pend.last_response
-                self.server.send(msg.src, kind, dict(payload))
+            if pend.saw_commits is not None:  # the first copy was answered
+                kind, payload = pend.response()
+                self.server.send(msg.src, kind, payload)
             return True
         if op_id in self.completed and not subop.is_readonly:
             done = self.completed[op_id]
@@ -436,27 +436,25 @@ class CxRole(ServerRole):
             released = self.active.release(op_id, committed=False)
             self.reinject_blocked(released, ordered_after=None)
 
-        other_server = mp.get("other_server")
         record = make_result_record(
             op_id,
             subop,
             res,
-            other_server,
+            mp.get("other_server"),
             self.params.log_record_size,
         )
         # The pending entry must exist before we block on the log write:
         # a conflicting request arriving in that window must find the
         # holder's state, not a dangling active key.
         pend = PendingOp(
-            op_id=op_id,
-            subop=subop,
-            role=subop.role,
-            other_server=other_server,
-            result=res,
-            record=record,
+            record,
             keys=keys if (res.ok and cross) else [],
             hint=mp.get("ordered_after"),
-            req_msg=msg,
+            # Participant-side invalidation re-queues the request of the
+            # op holding a voted sub-op's inode: a part-role or single
+            # op.  Coord-role sub-ops hold only entry keys, so they drop
+            # it (it would otherwise live as long as the pending op).
+            req_msg=msg if subop.role != "coord" else None,
         )
         self.pending[op_id] = pend
         self._executing.discard(op_id)
@@ -488,19 +486,12 @@ class CxRole(ServerRole):
 
         # The ResponseHint block, built directly into the payload (the
         # dataclass + to_payload() + dict-merge detour costs a dict and
-        # an object per response on the hottest protocol path).
-        payload = {
-            "op_id": op_id,
-            "role": subop.role,
-            "ok": res.ok,
-            "errno": res.errno,
-            "conflicted": mp.get("conflicted", False),
-            "hint": pend.hint,
-            "hint_covers_other": mp.get("ordered_after_covers", False),
-            "saw_commits": tuple(self.active.saw_commits(keys)),
-        }
-        kind = MessageKind.YES if res.ok else MessageKind.NO
-        pend.last_response = (kind, payload)
+        # an object per response on the hottest protocol path).  Only
+        # the fields a duplicate REQ's resend cannot re-derive are kept.
+        pend.conflicted = mp.get("conflicted", False)
+        pend.hint_covers_other = mp.get("ordered_after_covers", False)
+        pend.saw_commits = tuple(self.active.saw_commits(keys))
+        kind, payload = pend.response()
         self.server.send(
             msg.src, kind, payload,
             span_id=record_span.span_id if record_span is not None else None,

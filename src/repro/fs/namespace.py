@@ -37,7 +37,7 @@ class ExecResult:
     execution, three list fields and all.
     """
 
-    __slots__ = ("ok", "errno", "updates", "undo", "touched", "value")
+    __slots__ = ("ok", "errno", "updates", "undo", "value")
 
     def __init__(
         self,
@@ -45,7 +45,6 @@ class ExecResult:
         errno: Optional[str] = None,
         updates: Optional[List[Update]] = None,
         undo: Optional[List[Update]] = None,
-        touched: Optional[List[Any]] = None,
         value: Any = None,
     ) -> None:
         self.ok = ok
@@ -54,8 +53,6 @@ class ExecResult:
         self.updates = [] if updates is None else updates
         #: Inverse writes restoring the pre-execution state, in order.
         self.undo = [] if undo is None else undo
-        #: Keys the sub-op read or wrote (conflict-detection footprint).
-        self.touched = [] if touched is None else touched
         #: Read result for read-only actions (inode / dirent).
         self.value = value
 
@@ -63,7 +60,7 @@ class ExecResult:
         return (
             f"ExecResult(ok={self.ok!r}, errno={self.errno!r}, "
             f"updates={self.updates!r}, undo={self.undo!r}, "
-            f"touched={self.touched!r}, value={self.value!r})"
+            f"value={self.value!r})"
         )
 
 
@@ -138,18 +135,17 @@ class NamespaceShard:
             undo.append((key, old))
             scratch[key] = value
 
-        touch = result.touched.append
         args = subop.args
         for action in subop.actions:
-            errno = self._apply_action(action, args, now, read, write, touch, result)
+            errno = self._apply_action(action, args, now, read, write, result)
             if errno is not None:
-                return ExecResult(ok=False, errno=errno, touched=result.touched)
+                return ExecResult(ok=False, errno=errno)
         # Undo must restore in reverse order of application.
         result.undo.reverse()
         return result
 
     def _apply_action(
-        self, action: SubOpAction, args: dict, now: float, read, write, touch, result: ExecResult
+        self, action: SubOpAction, args: dict, now: float, read, write, result: ExecResult
     ) -> Optional[str]:
         """Apply one action; returns an errno string on validation failure."""
         if action is SubOpAction.INSERT_ENTRY:
@@ -158,8 +154,6 @@ class NamespaceShard:
             args = args.get("insert_args", args)
             parent, name, target = args["parent"], args["name"], args["target"]
             dkey = dirent_key(parent, name)
-            touch(dkey)
-            touch(inode_key(parent))
             if read(dkey) is not None:
                 return ErrEexist.errno
             write(dkey, DirEntry(parent, name, target, is_dir=args.get("is_dir", False)))
@@ -171,8 +165,6 @@ class NamespaceShard:
         if action is SubOpAction.REMOVE_ENTRY:
             parent, name = args["parent"], args["name"]
             dkey = dirent_key(parent, name)
-            touch(dkey)
-            touch(inode_key(parent))
             if read(dkey) is None:
                 return ErrEnoent.errno
             write(dkey, None)
@@ -183,7 +175,6 @@ class NamespaceShard:
         if action is SubOpAction.ADD_INODE:
             handle = args["target"]
             ikey = inode_key(handle)
-            touch(ikey)
             if read(ikey) is not None:
                 return ErrEexist.errno
             write(ikey, Inode(handle, FileType.REGULAR, nlink=1, mtime=now))
@@ -192,7 +183,6 @@ class NamespaceShard:
         if action is SubOpAction.ADD_DIR_INODE:
             handle = args["target"]
             ikey = inode_key(handle)
-            touch(ikey)
             if read(ikey) is not None:
                 return ErrEexist.errno
             # "allocate the entry space" — directories start with nlink=2.
@@ -202,7 +192,6 @@ class NamespaceShard:
         if action is SubOpAction.INC_NLINK:
             handle = args["target"]
             ikey = inode_key(handle)
-            touch(ikey)
             inode = read(ikey)
             if inode is None:
                 return ErrEnoent.errno
@@ -212,7 +201,6 @@ class NamespaceShard:
         if action is SubOpAction.DEC_NLINK_FREE:
             handle = args["target"]
             ikey = inode_key(handle)
-            touch(ikey)
             inode = read(ikey)
             if inode is None:
                 return ErrEnoent.errno
@@ -225,7 +213,6 @@ class NamespaceShard:
         if action is SubOpAction.FREE_DIR_INODE:
             handle = args["target"]
             ikey = inode_key(handle)
-            touch(ikey)
             inode = read(ikey)
             if inode is None:
                 return ErrEnoent.errno
@@ -237,7 +224,6 @@ class NamespaceShard:
         if action is SubOpAction.WRITE_INODE:
             handle = args["target"]
             ikey = inode_key(handle)
-            touch(ikey)
             inode = read(ikey)
             if inode is None:
                 return ErrEnoent.errno
@@ -247,7 +233,6 @@ class NamespaceShard:
         if action is SubOpAction.READ_INODE:
             handle = args["target"]
             ikey = inode_key(handle)
-            touch(ikey)
             inode = read(ikey)
             if inode is None:
                 return ErrEnoent.errno
@@ -257,7 +242,6 @@ class NamespaceShard:
         if action is SubOpAction.READ_ENTRY:
             parent, name = args["parent"], args["name"]
             dkey = dirent_key(parent, name)
-            touch(dkey)
             entry = read(dkey)
             if entry is None:
                 return ErrEnoent.errno
@@ -267,7 +251,6 @@ class NamespaceShard:
         if action is SubOpAction.READ_DIR:
             parent = args["parent"]
             ikey = inode_key(parent)
-            touch(ikey)
             result.value = read(ikey)
             return None
 

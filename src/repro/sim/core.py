@@ -103,11 +103,16 @@ class SimulationError(RuntimeError):
 def kernel_sprint() -> Iterator[None]:
     """Pause the cyclic garbage collector for the duration of a replay.
 
-    The kernel's hot path is allocation-light but cycle-free (handler
-    frames and wrapper events die by refcount; handle state is pooled),
-    so the collector's periodic full-generation scans are pure overhead
+    The kernel's hot path is allocation-light and creates no reference
+    cycles: handler frames, wrapper events and finished processes die
+    by refcount (a :class:`Process` drops its self-referencing resume
+    callback when its generator ends), and handle state is pooled.  So
+    the collector's periodic full-generation scans are pure overhead
     while a replay is driving millions of events.  Pausing it is worth
     ~10-20% of replay wall time and has no effect on simulation results.
+    Code that runs inside a sprint must keep to the same rule: anything
+    that finishes while the collector is paused has to be freeable by
+    refcount alone, or it stays in memory until the sprint ends.
 
     Only touches the collector if it was enabled on entry (so nested
     sprints and externally-disabled GC are safe); re-enables it and

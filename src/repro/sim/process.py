@@ -85,6 +85,17 @@ class Process(Event):
         self._target = None
         self._resume(event)
 
+    def _finish(self) -> None:
+        """The generator is done: drop the self-reference.
+
+        ``_resume_cb`` is a bound method pointing back at this process;
+        left in place, every finished process would be a reference
+        cycle that only the cyclic collector can free — and replays run
+        with the collector paused (:func:`~repro.sim.core.kernel_sprint`).
+        """
+        self._resume_cb = None
+        self._gen = None
+
     def _resume(self, event: Union[Event, int]) -> None:
         """Advance the generator with the outcome of ``event``."""
         self._target = None
@@ -105,10 +116,12 @@ class Process(Event):
                     event._defused = True
                     target = gen.throw(event._exc)  # type: ignore[arg-type]
             except StopIteration as stop:
+                self._finish()
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self.fail(exc)
+                self._finish()
+                self.fail(_drop_own_frame(exc))
                 return
 
             if type(target) is int:
@@ -127,9 +140,11 @@ class Process(Event):
                 try:
                     gen.throw(error)
                 except StopIteration:
+                    self._finish()
                     self.succeed(None)
                 except BaseException as exc:
-                    self.fail(exc)
+                    self._finish()
+                    self.fail(_drop_own_frame(exc))
                 return
 
             if target.processed:
@@ -139,3 +154,12 @@ class Process(Event):
             target.callbacks.append(self._resume_cb)  # type: ignore[union-attr]
             self._target = target
             return
+
+
+def _drop_own_frame(exc: BaseException) -> BaseException:
+    """``exc`` without its first traceback entry: the frame of
+    :meth:`Process._resume` that caught it, whose ``self`` would close a
+    cycle through the failed process's stored exception.  The entries
+    below it (the generator frames, down to the raise) are kept."""
+    tb = exc.__traceback__
+    return exc.with_traceback(tb.tb_next if tb is not None else None)

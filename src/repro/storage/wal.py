@@ -25,7 +25,7 @@ Recovery re-reads the valid region sequentially (see
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.params import SimParams
@@ -107,7 +107,10 @@ class WriteAheadLog:
         #: None means unlimited (used by the Fig. 9 sensitivity runs).
         self.capacity = capacity
         self._tail = base_offset
-        self._index: Dict[OpId, List[LogRecord]] = {}
+        #: op_id -> its records: the record itself while it is the op's
+        #: only one (a pending op has just its Result-Record, and one
+        #: list per pending op adds up), a list from the second on.
+        self._index: Dict[OpId, Union[LogRecord, List[LogRecord]]] = {}
         self.valid_bytes = 0
         self.appends = 0
         self.flushes = 0
@@ -140,11 +143,15 @@ class WriteAheadLog:
 
     # -- queries -----------------------------------------------------------
 
+    def _records(self, op_id: OpId) -> Sequence[LogRecord]:
+        recs = self._index.get(op_id, ())
+        return (recs,) if type(recs) is LogRecord else recs
+
     def records_of(self, op_id: OpId) -> List[LogRecord]:
-        return list(self._index.get(op_id, ()))
+        return list(self._records(op_id))
 
     def has_record(self, op_id: OpId, rtype: str) -> bool:
-        return any(r.rtype == rtype and not r.invalid for r in self._index.get(op_id, ()))
+        return any(r.rtype == rtype and not r.invalid for r in self._records(op_id))
 
     def ops_in_log(self) -> List[OpId]:
         return list(self._index.keys())
@@ -231,7 +238,9 @@ class WriteAheadLog:
         # list on every call, and appends dominate the WAL's profile.
         recs = self._index.get(record.op_id)
         if recs is None:
-            self._index[record.op_id] = [record]
+            self._index[record.op_id] = record
+        elif type(recs) is LogRecord:
+            self._index[record.op_id] = [recs, record]
         else:
             recs.append(record)
         self.valid_bytes += record.size
@@ -269,6 +278,8 @@ class WriteAheadLog:
         records = self._index.pop(op_id, None)
         if not records:
             return 0
+        if type(records) is LogRecord:
+            records = (records,)
         freed = 0
         pool = self._record_pool
         for r in records:
@@ -330,7 +341,10 @@ class WriteAheadLog:
         for record in doomed:
             self.valid_bytes -= record.size
             recs = self._index.get(record.op_id)
-            if recs is not None:
+            if type(recs) is LogRecord:
+                if recs == record:
+                    del self._index[record.op_id]
+            elif recs is not None:
                 try:
                     recs.remove(record)
                 except ValueError:  # pragma: no cover - defensive
@@ -351,7 +365,9 @@ class WriteAheadLog:
             self.params.disk_seek
             + self.valid_bytes * self.params.disk_byte_time
         )
-        nrecords = sum(len(v) for v in self._index.values())
+        nrecords = sum(
+            1 if type(v) is LogRecord else len(v) for v in self._index.values()
+        )
         return io + nrecords * self.params.recovery_record_cpu
 
     # -- flusher ---------------------------------------------------------------

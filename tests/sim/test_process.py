@@ -1,8 +1,11 @@
 """Unit tests for generator-backed processes."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Interrupt, Process, Simulator
 from repro.sim.core import SimulationError
 
 
@@ -170,3 +173,70 @@ class TestInterrupt:
         sim.run()
         assert p.ok is False
         assert isinstance(p.value, Interrupt)
+
+
+class _WeakProcess(Process):
+    """A Process that accepts weak references (the base class's slots
+    leave them out)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def gc_paused():
+    """The collector paused, as under ``kernel_sprint``, with any
+    garbage from earlier tests collected first."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestLifetime:
+    """Finished processes must die by refcount: replays pause the
+    cyclic collector, so a finished process caught in a reference cycle
+    would stay in memory until the replay ends."""
+
+    @pytest.mark.parametrize("outcome", ["return", "raise"])
+    def test_finished_process_dies_without_collector(self, sim, gc_paused,
+                                                     outcome):
+        def body(sim):
+            yield sim.timeout(1.0)
+            if outcome == "raise":
+                raise RuntimeError("boom")
+            return 1
+
+        p = _WeakProcess(sim, body(sim))
+        p.defuse()
+        ref = weakref.ref(p)
+        sim.run()
+        assert not p.is_alive
+        del p
+        assert ref() is None
+
+    def test_cx_replay_leaves_no_process_cycles(self, gc_paused):
+        from repro.sim import kernel_sprint
+        from tests.conftest import build_cluster, make_create, run_to_completion
+
+        cluster = build_cluster(protocol="cx", num_servers=4, trace=False)
+        proc = cluster.client_process(0, 0)
+        ops = [make_create(cluster, proc, 0, f"f{i}") for i in range(40)]
+        flags = gc.get_debug()
+        with kernel_sprint():
+            results = run_to_completion(cluster, cluster.run_ops(proc, ops))
+            # Let the lazy commitments (batch and per-group processes) run.
+            cluster.quiesce_protocol(timeout=1.0)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                gc.collect()
+                leaked = [o for o in gc.garbage if isinstance(o, Process)]
+            finally:
+                gc.set_debug(flags)
+                gc.garbage.clear()
+        assert all(r.ok for r in results)
+        assert cluster.server(0).role.commit_mgr.batches_launched > 0
+        assert leaked == []
