@@ -23,6 +23,7 @@ from repro.core.records import PendingOp, PendingState, RecordType, StaleEpoch
 from repro.fs.objects import inode_key
 from repro.net.message import MessageKind
 from repro.obs.tracer import PHASE_COMMIT, PHASE_WRITEBACK
+from repro.sim import Process
 from repro.storage.wal import OpId
 
 #: Record-type strings, resolved once — enum attribute + ``.value``
@@ -157,7 +158,8 @@ class CommitManager:
         if ops:
             self.launch_ops(ops, reason)
 
-    def launch_ops(self, ops: List[PendingOp], reason: str) -> None:
+    def launch_ops(self, ops: List[PendingOp], reason: str) -> Process:
+        """Commit ``ops`` as one batch; returns the batch process."""
         server = self.role.server
         tracer = self.tracer
         for p in ops:
@@ -187,7 +189,7 @@ class CommitManager:
             if m is None:
                 m = self._m_lazy = self.metrics.counter("commit.lazy_ops")
             m.inc(len(ops))
-        self.role.sim.process(self._commit_batch(ops))
+        return self.role.sim.process(self._commit_batch(ops))
 
     # -- the batch process ------------------------------------------------------------
 
@@ -273,30 +275,42 @@ class CommitManager:
                 return  # crashed mid-batch; this state died with us
         if not done:
             return
-        # "synchronize metadata objects into database": one batched,
-        # merged write-back of the decided objects — durable *before*
-        # their Complete-Records, so a crash never finds a pruned log
-        # with the updates still volatile.
-        keys = [k for p in done for k, _v in p.result.updates]
-        flush = self.role.server.kv.flush_keys(keys)
+        try:
+            yield from self._complete(done)
+        except StaleEpoch:
+            return
+
+    def _complete(self, ops: List[PendingOp]):
+        """Finish decided, acknowledged ops (paper §III.B step 7).
+
+        The one completion path of a commitment, shared by the batch
+        tail, parked re-delivery and recovery: "synchronize metadata
+        objects into database" as one merged write-back of the decided
+        objects — durable *before* their Complete-Records, so a crash
+        never finds a pruned log with the updates still volatile — then
+        the Complete-Records, coalesced into one group-committed flush,
+        then finalize.  Raises :class:`StaleEpoch` on a crash.
+        """
+        role = self.role
+        epoch = role.epoch
+        keys = [k for p in ops for k, _v in p.result.updates]
+        flush = role.server.kv.flush_keys(keys)
         if flush is not None:
             yield flush
             if role.epoch != epoch:
-                return
+                raise StaleEpoch
         tracer = self.tracer
         if tracer.enabled:
             # Only decided ops were truly synchronized — a participant
             # crash mid-commitment leaves its ops pending for retry.
-            for p in done:
+            for p in ops:
                 tracer.event(
-                    "writeback", self.role.server.node_id, cat="kv",
+                    "writeback", role.server.node_id, cat="kv",
                     op_id=p.op_id, phase=PHASE_WRITEBACK,
                 )
-        # Step 7: Complete-Records (coalesced across the whole batch
-        # into one group-committed flush), then finalize.
         wal = role.server.wal
         completes = []
-        for p in done:
+        for p in ops:
             sid = p.commit_span.span_id if p.commit_span is not None else None
             tracer.ambient = sid
             completes.append(
@@ -305,9 +319,9 @@ class CommitManager:
         tracer.ambient = None
         yield role.sim.all_of(completes)
         if role.epoch != epoch:
-            return
-        for p in done:
-            self._finalize(p, p.decided)
+            raise StaleEpoch
+        for p in ops:
+            self._finalize(p)
 
     def _commit_group(self, part_idx: int, group: List[PendingOp], done):
         """Commit one participant's share of a batch, sub-batched so no
@@ -469,10 +483,14 @@ class CommitManager:
             return
         if self.role.server.quiesced:
             return
-        self._parked_inflight = True
-        self.role.sim.process(self._finish_parked())
+        self.role.sim.process(self.redeliver_parked())
 
-    def _finish_parked(self):
+    def redeliver_parked(self):
+        """Re-deliver every parked decision, peer by peer, until a round
+        makes no progress (a peer still unreachable: the next trigger
+        scan retries it).  Marks re-delivery in flight, so the trigger
+        scan never starts a second one; recovery runs it inline."""
+        self._parked_inflight = True
         epoch = self.role.epoch
         try:
             while self.parked:
@@ -498,11 +516,9 @@ class CommitManager:
 
     def _redeliver_group(self, part_idx: int, group: List[PendingOp]):
         """Re-deliver logged decisions to a (hopefully) recovered peer,
-        then flush + complete the acknowledged ops, exactly as the
-        normal batch tail would have."""
+        then complete the acknowledged ops through the batch tail."""
         role = self.role
         part_node = role.cluster.server_id(part_idx)
-        decisions = {p.op_id: p.decided for p in group}
         size = (
             role.params.msg_base_size
             + role.params.msg_per_op_size * len(group)
@@ -510,43 +526,24 @@ class CommitManager:
         ack = yield from self._rpc(
             part_node,
             MessageKind.COMMIT_REQ,
-            {"decisions": decisions},
+            {"decisions": {p.op_id: p.decided for p in group}},
             size=size,
             timeout=role.params.recovery_rpc_timeout,
         )
         assert ack.kind is MessageKind.ACK
-        epoch = role.epoch
-        keys = [k for p in group for k, _v in p.result.updates]
-        flush = role.server.kv.flush_keys(keys)
-        if flush is not None:
-            yield flush
-            if role.epoch != epoch:
-                raise StaleEpoch
-        tracer = self.tracer
-        if tracer.enabled:
+        if self.tracer.enabled:
             for p in group:
-                tracer.event(
+                self.tracer.event(
                     "commit.unpark", role.server.node_id, cat="protocol",
                     op_id=p.op_id, peer=part_node,
                 )
-                tracer.event(
-                    "writeback", role.server.node_id, cat="kv",
-                    op_id=p.op_id, phase=PHASE_WRITEBACK,
-                )
-        wal = role.server.wal
-        completes = [
-            wal.append(wal.commit_record(p.op_id, _COMPLETE), urgent=True)
-            for p in group
-        ]
-        yield role.sim.all_of(completes)
-        if role.epoch != epoch:
-            raise StaleEpoch
+        yield from self._complete(group)
         for p in group:
             self.parked.pop(p.op_id, None)
-            self._finalize(p, p.decided)
 
-    def _finalize(self, pend: PendingOp, committed: bool) -> None:
+    def _finalize(self, pend: PendingOp) -> None:
         role = self.role
+        committed = pend.decided
         m = self._m_decisions
         if m is None:
             m = self._m_decisions = self.metrics.counter("commit.decisions")
@@ -574,9 +571,6 @@ class CommitManager:
                 MessageKind.ALL_NO,
                 {"op_id": pend.op_id, "errno": errno},
             )
-        for ev in pend.waiters or ():
-            if not ev.triggered:
-                ev.succeed()
 
 
 def _split_nonconflicting(ops: List[PendingOp]) -> List[List[PendingOp]]:

@@ -80,10 +80,10 @@ class ParticipantHalf:
         """Answer a VOTE inline when every voted op already executed here.
 
         The common case: by the time a lazy commitment's VOTE arrives,
-        the participant finished its half long ago.  Must stay
-        side-effect-identical to the all-pending walk of
-        :meth:`handle_vote`; returns ``False`` (touching nothing) when
-        any op needs the deferred/disordered machinery.
+        the participant finished its half long ago.  The per-op vote and
+        the reply are :meth:`handle_vote`'s own; returns ``False``
+        (touching nothing) when any op needs the deferred/disordered
+        machinery.
         """
         role = self.role
         pending = role.pending
@@ -92,28 +92,10 @@ class ParticipantHalf:
             pend = pending.get(op_id)
             if pend is None or not pend.logged:
                 return False
-        server = role.server
-        tracer = self.tracer
-        traced = tracer.enabled
         votes: Dict[OpId, dict] = {}
         for op_id in ops:
-            pend = pending[op_id]
-            votes[op_id] = {"ok": pend.ok, "errno": pend.result.errno}
-            pend.state = PendingState.COMMITTING
-            if traced and pend.commit_span is None:
-                pend.commit_span = tracer.begin(
-                    "commitment", server.node_id, op_id=op_id,
-                    phase=PHASE_COMMIT, parent=msg.span_id, role="part",
-                )
-        m = self._m_votes_answered
-        if m is None:
-            m = self._m_votes_answered = self.metrics.counter("votes.answered")
-        m.inc(len(votes))
-        size = (
-            role.params.msg_base_size
-            + role.params.msg_per_op_size * len(votes)
-        )
-        server.send_reply(msg, MessageKind.YES, {"votes": votes}, size=size)
+            self._vote(votes, pending[op_id], msg)
+        self._reply_votes(msg, votes)
         return True
 
     def handle_vote(self, msg: Message) -> Generator:
@@ -153,25 +135,32 @@ class ParticipantHalf:
                         op_id=op_id,
                     )
                 continue
-            votes[op_id] = {"ok": pend.ok, "errno": pend.result.errno}
-            # Once voted, the op may no longer be invalidated.
-            pend.state = PendingState.COMMITTING
-            # The participant's commitment phase opens at its vote (a
-            # coordinator retry after a crash finds the span open).
-            if tracer.enabled and pend.commit_span is None:
-                pend.commit_span = tracer.begin(
-                    "commitment", server.node_id, op_id=op_id,
-                    phase=PHASE_COMMIT, parent=msg.span_id, role="part",
-                )
+            self._vote(votes, pend, msg)
+        self._reply_votes(msg, votes)
+
+    def _vote(self, votes: Dict[OpId, dict], pend: PendingOp, msg: Message) -> None:
+        """Vote ``pend``'s recorded result.  Once voted, the op may no
+        longer be invalidated, and the participant's commitment phase
+        opens (a coordinator retry after a crash finds the span open)."""
+        votes[pend.op_id] = {"ok": pend.ok, "errno": pend.result.errno}
+        pend.state = PendingState.COMMITTING
+        tracer = self.tracer
+        if tracer.enabled and pend.commit_span is None:
+            pend.commit_span = tracer.begin(
+                "commitment", self.role.server.node_id, op_id=pend.op_id,
+                phase=PHASE_COMMIT, parent=msg.span_id, role="part",
+            )
+
+    def _reply_votes(self, msg: Message, votes: Dict[OpId, dict]) -> None:
         m = self._m_votes_answered
         if m is None:
             m = self._m_votes_answered = self.metrics.counter("votes.answered")
         m.inc(len(votes))
-        size = (
-            role.params.msg_base_size
-            + role.params.msg_per_op_size * len(votes)
+        params = self.role.params
+        size = params.msg_base_size + params.msg_per_op_size * len(votes)
+        self.role.server.send_reply(
+            msg, MessageKind.YES, {"votes": votes}, size=size
         )
-        role.server.send_reply(msg, MessageKind.YES, {"votes": votes}, size=size)
 
     def _materialize(self, op_id: OpId) -> Generator:
         """Get the voted op executed here, whatever its current state.

@@ -115,7 +115,7 @@ class PendingOp:
     __slots__ = (
         "op_id", "subop", "role", "other_server", "result", "record",
         "keys", "state", "hint", "req_msg", "all_no_dst",
-        "conflicted", "hint_covers_other", "saw_commits", "waiters",
+        "conflicted", "hint_covers_other", "saw_commits",
         "lcom_sent", "immediate_requested",
         "vote_errno", "enqueued_at", "commit_span", "exec_span_id",
         "logged", "decided", "resolicit_at", "resolicit_backoff",
@@ -158,9 +158,6 @@ class PendingOp:
         self.conflicted = False
         self.hint_covers_other = False
         self.saw_commits: Optional[Tuple[OpId, ...]] = None
-        #: Events to succeed when this op's commitment completes
-        #: (created on first use: only recovery waits on them).
-        self.waiters: Optional[List[Any]] = None
         #: Participant-role only: an L-COM for this op was already sent
         #: to the coordinator (avoid spamming on repeated conflicts).
         self.lcom_sent = False

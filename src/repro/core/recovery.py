@@ -15,9 +15,10 @@ role         records found               action
 ===========  ==========================  =====================================
 any          Complete                    prune (fully done)
 coordinator  Commit/Abort, no Complete   reconcile the shard against the
-                                         decision, re-send the decision
-                                         (bounded retries; park on failure),
-                                         write Complete, prune
+                                         decision, re-register the op pending
+                                         and park it: the commit manager's
+                                         parked re-delivery re-sends the
+                                         decision and completes it
 coordinator  Result only                 redo the update from the record,
                                          re-register it pending, commit now
 participant  Commit/Abort                reconcile the shard against the
@@ -34,11 +35,13 @@ Reconciliation re-links keys that should exist and reclaims keys that
 should not, but never rewrites a key that exists with a *different*
 value (shared parent-stub counters may legitimately have moved on).
 
-Every server-to-server RPC in this module is tolerant: bounded retries
-on a virtual-time reply timeout, ConnectionError treated as "peer still
+The recovery markers travel on tolerant RPCs: bounded retries on a
+virtual-time reply timeout, ConnectionError treated as "peer still
 down, try again".  A peer that stays unreachable is skipped (recovery
-must not wedge on a second crash); a decision that cannot be delivered
-parks in the coordinator's parked table for trigger-driven re-delivery.
+must not wedge on a second crash).  Decided operations finish through
+the same completion path as every commitment: their decisions are
+re-delivered during recovery, and one whose peer is unreachable stays
+parked for the trigger scan.
 
 The role is determined from the Result-Record itself ("From the
 Result-Record of an operation, the rebooted server can determine
@@ -50,9 +53,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.analysis.consistency import classify_namespace
+from repro.core.active import conflict_keys
 from repro.core.records import PendingOp, PendingState, RecordType, StaleEpoch
 from repro.fs.objects import DirEntry, Inode
-from repro.net.message import Message, MessageKind
+from repro.net.message import MessageKind
 from repro.storage.wal import LogRecord, OpId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,7 +76,6 @@ class CxRecovery:
         self._m_rpc_abandoned = None
         self._m_reclaimed = None
         self._m_relinked = None
-        self._m_parked = None
         self._m_suspect = None
 
     # -- tolerant RPC -------------------------------------------------------
@@ -179,7 +182,7 @@ class CxRecovery:
 
         # 3. Classify every operation left in the log.
         resumed: List[PendingOp] = []
-        finish_decides: List[tuple] = []
+        decided_ops: List[tuple] = []
         redo_events: List = []
         reconcile_events: List = []
         for op_id in list(server.wal.ops_in_log()):
@@ -219,7 +222,7 @@ class CxRecovery:
                         reconcile_events.append(ev)
                     server.wal.prune_op(op_id)
                 else:
-                    finish_decides.append((op_id, result_rec, committed))
+                    decided_ops.append((result_rec, committed))
                 continue
             # Result only: redo and re-register as pending.
             pend, ev = self._redo(op_id, result_rec)
@@ -228,7 +231,7 @@ class CxRecovery:
             if is_coord:
                 resumed.append(pend)
 
-        self.last_resumed_ops = len(resumed) + len(finish_decides)
+        self.last_resumed_ops = len(resumed) + len(decided_ops)
 
         # Redo writes go to the store conservatively (one transaction
         # per operation): the paper's recovery "submit[s] metadata
@@ -241,9 +244,30 @@ class CxRecovery:
         if role.epoch != epoch:
             raise StaleEpoch
 
-        # 4. Finish half-decided commitments (resend the decision).
-        for op_id, result_rec, committed in finish_decides:
-            yield from self._finish_decide(op_id, result_rec, committed)
+        # 4. Finish half-completed commitments: reconcile our half
+        #    against the logged decision, then hand the op to the commit
+        #    manager exactly as a decided op whose COMMIT-REQ was lost —
+        #    parked, and re-delivered (never re-voted) right here.  Only
+        #    cross-server ops log a decision, so every one has a peer.
+        #    A peer that stays unreachable keeps its ops parked for the
+        #    post-recovery trigger scan.
+        mgr = role.commit_mgr
+        for result_rec, committed in decided_ops:
+            ev = self._reconcile_decided(
+                result_rec.op_id, result_rec.payload, committed
+            )
+            if ev is not None:
+                yield ev
+                if role.epoch != epoch:
+                    raise StaleEpoch
+            pend = self._register_pending(result_rec, PendingState.COMMITTING)
+            # Re-emit the logged decision: the completion's write-back
+            # must follow a decision in this incarnation's history.
+            mgr._record_decision(pend, committed)
+            mgr._park(pend)
+        yield from mgr.redeliver_parked()
+        if role.epoch != epoch:
+            raise StaleEpoch
 
         # 5. Commit everything that was still pending, in bounded
         #    batches (a crash with a huge valid-record footprint must
@@ -258,16 +282,8 @@ class CxRecovery:
             + role.params.recovery_rpc_timeout
         )
         for start in range(0, len(resumed), chunk_size):
-            chunk = resumed[start:start + chunk_size]
-            done_events = []
-            for pend in chunk:
-                ev = sim.event()
-                pend.waiters = [ev]
-                done_events.append(ev)
-            role.commit_mgr.launch_ops(chunk, "recovery")
-            winner, _val = yield sim.any_of(
-                [sim.all_of(done_events), sim.timeout(chunk_bound)]
-            )
+            batch = mgr.launch_ops(resumed[start:start + chunk_size], "recovery")
+            yield sim.any_of([batch, sim.timeout(chunk_bound)])
             if role.epoch != epoch:
                 raise StaleEpoch
 
@@ -287,34 +303,35 @@ class CxRecovery:
 
     def _redo(self, op_id: OpId, result_rec: LogRecord) -> PendingOp:
         """Rebuild a pending op from its Result-Record (redo updates)."""
-        from repro.core.active import conflict_keys
-
         role = self.role
         payload = result_rec.payload
-        subop = payload["subop"]
-        ok = payload["ok"]
-        keys = conflict_keys(subop)
         redo_event = None
-        if ok:
+        if payload["ok"]:
             # Conservative redo: write-through, one txn per operation.
             events = role.server.shard.apply_sync(payload["updates"])
             redo_event = events[0] if events else None
-            if subop.role in ("coord", "part"):
-                role.active.register(op_id, keys)
-        pend = PendingOp(
-            result_rec,
-            keys=keys if (ok and subop.role in ("coord", "part")) else [],
-        )
-        # The Result-Record was read back from the durable log.
-        pend.logged = True
-        role.pending[op_id] = pend
-        if subop.role in ("coord", "single"):
+        pend = self._register_pending(result_rec, PendingState.EXECUTED)
+        if pend.role in ("coord", "single"):
             role.commit_mgr.lazy[op_id] = pend
         else:
             # A coordinator's commitment may already be waiting on this
             # op's vote (it retried while we were down).
             role.participant.fulfill_vote_waiters(op_id)
         return pend, redo_event
+
+    def _register_pending(self, result_rec: LogRecord, state: PendingState) -> PendingOp:
+        """Re-register a logged op as pending, its objects active again."""
+        role = self.role
+        subop = result_rec.payload["subop"]
+        keys = []
+        if result_rec.payload["ok"] and subop.role in ("coord", "part"):
+            keys = conflict_keys(subop)
+            role.active.register(result_rec.op_id, keys)
+        pend = PendingOp(result_rec, keys=keys, state=state)
+        # The Result-Record was read back from the durable log.
+        pend.logged = True
+        role.pending[result_rec.op_id] = pend
+        return pend
 
     def _reconcile_decided(
         self, op_id: OpId, payload: dict, committed: bool
@@ -376,61 +393,6 @@ class CxRecovery:
             )
         events = role.server.shard.apply_sync(fixes)
         return events[0] if events else None
-
-    def _finish_decide(
-        self, op_id: OpId, result_rec: LogRecord, committed: bool
-    ) -> Generator:
-        """Coordinator crashed between its decision and Complete: the
-        participant may not have heard — reconcile our half, then
-        resend the decision (tolerantly; park it if the peer stays
-        unreachable)."""
-        role = self.role
-        server = role.server
-        epoch = role.epoch
-        payload = result_rec.payload
-        ev = self._reconcile_decided(op_id, payload, committed)
-        if ev is not None:
-            yield ev
-            if role.epoch != epoch:
-                raise StaleEpoch
-        other = payload["other_server"]
-        if other is not None:
-            ack = yield from self._rpc_tolerant(
-                role.cluster.server_id(other),
-                MessageKind.COMMIT_REQ,
-                {"decisions": {op_id: committed}},
-            )
-            if ack is None:
-                # Peer unreachable: park the decided op for re-delivery
-                # by the trigger scan.  The records stay in the log so a
-                # second crash here re-parks it.
-                self._park_for_redelivery(result_rec, committed)
-                return
-            assert ack.kind is MessageKind.ACK
-        yield server.wal.append_h(
-            LogRecord(op_id, RecordType.COMPLETE.value, size=role.params.log_record_size),
-            urgent=True,
-        )
-        if role.epoch != epoch:
-            raise StaleEpoch
-        server.wal.prune_op(op_id)
-        role.completed[op_id] = {
-            "committed": committed,
-            "errno": payload["errno"],
-        }
-
-    def _park_for_redelivery(self, result_rec: LogRecord, committed: bool) -> None:
-        role = self.role
-        pend = PendingOp(result_rec, state=PendingState.COMMITTING)
-        pend.logged = True
-        pend.decided = committed
-        m = self._m_parked
-        if m is None:
-            m = self._m_parked = role.server.metrics.counter(
-                "recovery.parked_ops"
-            )
-        m.inc()
-        role.commit_mgr._park(pend)
 
     def _orphan_sweep(self) -> None:
         """Advisory post-recovery sweep of the *local* durable shard.

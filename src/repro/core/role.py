@@ -125,10 +125,11 @@ class CxRole(ServerRole):
     def handle_fast(self, msg: Message) -> bool:
         """Serve inline the message kinds that never yield.
 
-        Mirrors :meth:`handle` exactly for these kinds — a duplicate
-        REQ answered from the pending/completed tables, a VOTE whose
-        ops all executed here already, L-COM, and the recovery markers
-        — so the dispatch slot can skip generator creation.
+        A duplicate REQ answered from the pending/completed tables, a
+        VOTE whose ops all executed here already, L-COM, the recovery
+        markers, unsolicited replies and RESOLICIT — so the dispatch
+        slot can skip generator creation.  Returns ``False`` (touching
+        nothing) for what :meth:`handle` must serve.
         """
         kind = msg.kind
         if kind is MessageKind.REQ:
@@ -150,6 +151,9 @@ class CxRole(ServerRole):
             return True
         if (kind is MessageKind.ACK or kind is MessageKind.YES
                 or kind is MessageKind.NO):
+            # A vote reply whose RPC waiter was defused (commit-RPC
+            # watchdog fired, or the coordinator rebooted) lands here
+            # unsolicited; the re-vote carries the same answer again.
             self._drop_unsolicited_ack()
             return True
         if kind is MessageKind.RESOLICIT:
@@ -158,6 +162,9 @@ class CxRole(ServerRole):
         return False
 
     def handle(self, msg: Message) -> Generator:
+        """The message kinds that may yield.  The dispatch slot always
+        tries :meth:`handle_fast` first, which serves every other kind
+        (and the REQ/VOTE cases that need no wait) inline."""
         kind = msg.kind
         if kind is MessageKind.REQ:
             yield from self._handle_req(msg)
@@ -165,22 +172,6 @@ class CxRole(ServerRole):
             yield from self.participant.handle_vote(msg)
         elif kind is MessageKind.COMMIT_REQ:
             yield from self.participant.handle_decide(msg)
-        elif kind is MessageKind.L_COM:
-            self._handle_lcom(msg)
-        elif kind is MessageKind.RECOVERY_BEGIN:
-            self.server.quiesce()
-            self.server.send_reply(msg, MessageKind.ACK, {})
-        elif kind is MessageKind.RECOVERY_END:
-            self.server.unquiesce()
-            self.server.send_reply(msg, MessageKind.ACK, {})
-        elif (kind is MessageKind.ACK or kind is MessageKind.YES
-                or kind is MessageKind.NO):
-            # A vote reply whose RPC waiter was defused (commit-RPC
-            # watchdog fired, or the coordinator rebooted) lands here
-            # unsolicited; the re-vote carries the same answer again.
-            self._drop_unsolicited_ack()
-        elif kind is MessageKind.RESOLICIT:
-            self._handle_resolicit(msg)
         else:  # pragma: no cover - protocol error
             raise ValueError(f"Cx server got unexpected {kind}")
 

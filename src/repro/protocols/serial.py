@@ -40,7 +40,7 @@ class SerialRole(ServerRole):
         elif msg.kind is MessageKind.CLEAR:
             yield from self._handle_clear(msg)
         else:  # pragma: no cover - protocol error
-            raise ValueError(f"SE server got unexpected {msg.kind}")
+            raise ValueError(f"{type(self).__name__} got unexpected {msg.kind}")
 
     def _handle_req(self, msg: Message) -> Generator:
         subop = msg.payload["subop"]
@@ -74,22 +74,30 @@ class SerialRole(ServerRole):
             exec_span.end(ok=res.ok, errno=res.errno)
         last_sid = exec_span.span_id if exec_span is not None else None
         if res.ok:
-            # OFS's per-op synchronous write-back — the client-visible
-            # cost Cx's deferred write-back removes.
-            wb_span = (
-                tracer.begin(
-                    "sync-writeback", self.server.node_id, op_id=subop.op_id,
-                    phase=PHASE_WRITEBACK, parent=last_sid, role=subop.role,
-                )
-                if tracer.enabled else None
-            )
-            events = self.server.shard.apply_sync(res.updates)
-            if events:
-                yield self.sim.all_of(events)
-            if wb_span is not None:
-                wb_span.end()
-                last_sid = wb_span.span_id
+            last_sid = yield from self._persist(subop, res, last_sid)
         self.reply_result(msg, res, span_id=last_sid)
+
+    def _persist(self, subop, res, parent_sid) -> Generator:
+        """Make a successful sub-op's updates durable before the reply;
+        returns the span id the reply hangs off.
+
+        OFS's per-op synchronous write-back — the client-visible cost
+        Cx's deferred write-back removes."""
+        tracer = self.server.tracer
+        wb_span = (
+            tracer.begin(
+                "sync-writeback", self.server.node_id, op_id=subop.op_id,
+                phase=PHASE_WRITEBACK, parent=parent_sid, role=subop.role,
+            )
+            if tracer.enabled else None
+        )
+        events = self.server.shard.apply_sync(res.updates)
+        if events:
+            yield self.sim.all_of(events)
+        if wb_span is None:
+            return parent_sid
+        wb_span.end()
+        return wb_span.span_id
 
     def _handle_clear(self, msg: Message) -> Generator:
         """Withdraw a previously executed sub-op (value-level undo)."""

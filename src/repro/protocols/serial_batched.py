@@ -15,12 +15,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List
 
-from repro.cluster.client import ClientProcess, OpResult
-from repro.fs.ops import OpPlan
 from repro.net.message import Message, MessageKind
-from repro.obs.tracer import PHASE_EXEC, PHASE_RECORD
-from repro.protocols.base import Protocol, ServerRole
-from repro.protocols.serial import SerialProtocol
+from repro.obs.tracer import PHASE_RECORD
+from repro.protocols.serial import SerialProtocol, SerialRole
 from repro.sim import Interrupt, Process
 from repro.storage.wal import LogRecord, OpId
 
@@ -32,14 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover
 OBJ_RECORD = "OBJ"
 
 
-class SerialBatchedRole(ServerRole):
+class SerialBatchedRole(SerialRole):
     """SE message flow + log-then-defer persistence."""
 
     def __init__(self, server: "MetadataServer", cluster: "Cluster") -> None:
         super().__init__(server, cluster)
         #: Operations whose object images sit in the log awaiting flush.
         self._logged_ops: List[OpId] = []
-        self._flusher: Process = None  # type: ignore[assignment]
         self._timer: Process = None  # type: ignore[assignment]
         self.server.wal.on_full = self.flush_now
 
@@ -77,74 +73,37 @@ class SerialBatchedRole(ServerRole):
         for op_id in covered:
             self.server.wal.prune_op(op_id)
 
-    # -- message handling ------------------------------------------------------
+    # -- persistence: log now, write back in batches ------------------------
 
-    def handle(self, msg: Message) -> Generator:
-        if msg.kind is MessageKind.REQ:
-            yield from self._handle_req(msg)
-        elif msg.kind is MessageKind.CLEAR:
-            yield from self._handle_clear(msg)
-        else:  # pragma: no cover - protocol error
-            raise ValueError(f"OFS-batched server got unexpected {msg.kind}")
-
-    def _handle_req(self, msg: Message) -> Generator:
-        subop = msg.payload["subop"]
+    def _persist(self, subop, res, parent_sid) -> Generator:
+        """Durability via the group-committed log; BDB write-back is
+        deferred to the next batched flush."""
         tracer = self.server.tracer
-        if subop.is_readonly:
-            read_span = (
-                tracer.begin(
-                    "exec", self.server.node_id, op_id=subop.op_id,
-                    phase=PHASE_EXEC, parent=msg.span_id,
-                    role=subop.role, readonly=True,
-                )
-                if tracer.enabled else None
-            )
-            res = yield from self.execute_readonly(subop)
-            read_sid = None
-            if read_span is not None:
-                read_span.end(ok=res.ok)
-                read_sid = read_span.span_id
-            self.reply_result(msg, res, span_id=read_sid)
-            return
-        exec_span = (
-            tracer.begin(
-                "exec", self.server.node_id, op_id=subop.op_id,
-                phase=PHASE_EXEC, parent=msg.span_id, role=subop.role,
-            )
-            if tracer.enabled else None
+        record = LogRecord(
+            subop.op_id,
+            OBJ_RECORD,
+            payload={"updates": res.updates},
+            size=self.params.log_record_size * max(1, len(res.updates)),
         )
-        yield self.sim.timeout(self.params.cpu_subop)
-        res = self.server.shard.execute(subop, self.sim.now)
-        if exec_span is not None:
-            exec_span.end(ok=res.ok, errno=res.errno)
-        last_sid = exec_span.span_id if exec_span is not None else None
-        if res.ok:
-            # Durability via the group-committed log; BDB write-back is
-            # deferred to the next batched flush.
-            record = LogRecord(
-                subop.op_id,
-                OBJ_RECORD,
-                payload={"updates": res.updates},
-                size=self.params.log_record_size * max(1, len(res.updates)),
+        self._logged_ops.append(subop.op_id)
+        self.server.shard.apply_deferred(res.updates)
+        last_sid = parent_sid
+        if tracer.enabled:
+            record_span = tracer.begin(
+                "result-record", self.server.node_id, op_id=subop.op_id,
+                phase=PHASE_RECORD, parent=parent_sid,
+                role=subop.role, size=record.size,
             )
-            self._logged_ops.append(subop.op_id)
-            self.server.shard.apply_deferred(res.updates)
-            if tracer.enabled:
-                record_span = tracer.begin(
-                    "result-record", self.server.node_id, op_id=subop.op_id,
-                    phase=PHASE_RECORD, parent=last_sid,
-                    role=subop.role, size=record.size,
-                )
-                tracer.ambient = record_span.span_id
-                append_done = self.server.wal.append_h(record)
-                tracer.ambient = None
-                yield append_done
-                record_span.end()
-                last_sid = record_span.span_id
-            else:
-                yield self.server.wal.append_h(record)
-            self._check_threshold()
-        self.reply_result(msg, res, span_id=last_sid)
+            tracer.ambient = record_span.span_id
+            append_done = self.server.wal.append_h(record)
+            tracer.ambient = None
+            yield append_done
+            record_span.end()
+            last_sid = record_span.span_id
+        else:
+            yield self.server.wal.append_h(record)
+        self._check_threshold()
+        return last_sid
 
     def _handle_clear(self, msg: Message) -> Generator:
         undo = msg.payload["undo"]

@@ -211,9 +211,10 @@ class AllOf(_Condition):
 
     Succeeds with the list of child values (in construction order); if
     any child fails, the condition fails immediately with that child's
-    exception and the remaining children are left to run (their
-    failures, if any, are defused by their own waiters).  An empty
-    AllOf succeeds immediately.
+    exception and the remaining children are left to run.  A child
+    that fails after that is defused here, as :class:`AnyOf` does: the
+    condition waits on it, and a failure nobody handles would abort
+    the whole simulation.  An empty AllOf succeeds immediately.
     """
 
     __slots__ = ()
@@ -224,11 +225,12 @@ class AllOf(_Condition):
             self.succeed([])
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
         if not event._ok:
             event.defuse()
-            self.fail(event._exc)  # type: ignore[arg-type]
+            if not self.triggered:
+                self.fail(event._exc)  # type: ignore[arg-type]
+            return
+        if self.triggered:
             return
         self._pending_count -= 1
         if self._pending_count == 0:

@@ -149,6 +149,33 @@ class TestParticipantCrash:
         assert part.kv.get(inode_key(op.target)) is not None  # redone
 
 
+class TestCrashDuringRecovery:
+    def test_crash_mid_fan_out_then_recover_again(self):
+        """A second crash while RECOVERY-BEGIN is still in flight fails
+        every per-peer marker RPC.  The recovery pass unwinds instead of
+        aborting the simulation on the later failures; recovering again
+        releases every peer and leaves the namespace consistent."""
+        from repro.analysis.consistency import check_namespace_invariants
+
+        cluster = build_cluster("cx", params=SimParams(commit_timeout=3600.0))
+        d = cluster.preload_dir(ROOT_HANDLE, "dir")
+        proc = cluster.client_process(0, 0)
+        ops = [cross_create(cluster, proc, d, tag=i) for i in range(4)]
+        run_to_completion(cluster, cluster.run_ops(proc, ops))
+        server = cluster.servers[0]
+        injector = FailureInjector(cluster)
+        injector.crash_server(0)
+        first = injector.recover_server(0)
+        while len(server._pending_rpcs) < 3:  # one marker per peer
+            cluster.sim.step()
+        injector.crash_server(0)
+        run_to_completion(cluster, first)
+        run_to_completion(cluster, injector.recover_server(0), limit=600)
+        assert not any(s.quiesced for s in cluster.servers)
+        cluster.quiesce_protocol()
+        assert check_namespace_invariants(cluster, known_dirs=[d]) == []
+
+
 class TestRecoveryTiming:
     def test_recovery_time_grows_sublinearly_with_log(self):
         """Table V's shape: 100x the valid records << 100x the time."""

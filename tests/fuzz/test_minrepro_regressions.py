@@ -26,14 +26,21 @@ contract"):
    pre-crash decisions into the post-crash epoch, and a decide handler
    armed just before the crash could blanket-prune a Result-Record
    that was recovery's only redo copy.
+
+Two more replays pin the fault-only paths that finish a decided
+operation: recovery hands a coordinator's logged-but-incomplete
+decisions to the commit manager's parked re-delivery, which completes
+them through the same tail as a normal batch.  Those are frozen copies
+of ``generate_schedule(seed, index, 4)`` for seeds 0 and 1; only the
+fuzzer reached these paths before.
 """
 
 from repro.faultfuzz import Fault, run_schedule
 
 
-def _replay(fault_dicts):
+def _replay(fault_dicts, seed=0):
     faults = [Fault.from_dict(d) for d in fault_dicts]
-    res = run_schedule(faults, seed=0)
+    res = run_schedule(faults, seed=seed)
     assert res.verdict == "ok", (
         f"verdict={res.verdict} violations={res.violations} "
         f"error={res.error}"
@@ -109,3 +116,34 @@ class TestMinreproRegressions:
             {"kind": "crash", "at": 2477, "a": 1, "b": -1,
              "until": -1, "extra": 0.0},
         ])
+
+    def test_recovery_finishes_decided_ops_with_peer_up(self):
+        """Seed 0 schedule 29: a coordinator crashes with decided
+        commitments whose Complete-Records never landed.  Recovery
+        re-registers them, parks them and re-delivers the logged
+        decisions inline to the live participant, then completes them
+        (write-back, Complete-Records, prune) before resuming service."""
+        _replay([
+            {"kind": "crash", "at": 1466, "a": 2, "b": -1,
+             "until": -1, "extra": 0.0},
+        ])
+
+    def test_recovery_parks_decided_ops_for_the_trigger_scan(self):
+        """Seed 1 schedule 43: the recovering coordinator is partitioned
+        from one participant, so recovery's re-delivery to that peer
+        fails and its decided ops stay parked; after the partition heals
+        the post-recovery trigger scan re-delivers and completes them."""
+        _replay([
+            {"kind": "delay", "at": 14, "a": -1, "b": -1,
+             "until": -1, "extra": 0.743228},
+            {"kind": "drop", "at": 51, "a": -1, "b": -1,
+             "until": -1, "extra": 0.0},
+            {"kind": "dup", "at": 167, "a": -1, "b": -1,
+             "until": -1, "extra": 0.330524},
+            {"kind": "partition", "at": 942, "a": 0, "b": 3,
+             "until": 4304, "extra": 0.0},
+            {"kind": "crash", "at": 1331, "a": 0, "b": -1,
+             "until": -1, "extra": 0.0},
+            {"kind": "crash", "at": 1484, "a": 0, "b": -1,
+             "until": -1, "extra": 0.0},
+        ], seed=1)

@@ -183,6 +183,29 @@ class TestAllOf:
         assert cond.ok is False
         assert isinstance(cond.value, ValueError)
 
+    def test_late_child_failure_is_defused(self, sim):
+        # Two children fail, one after the other; the single waiter
+        # handles the condition's failure.  The second failure lands
+        # after the condition triggered and must not abort the run.
+        def failing(delay, tag):
+            yield sim.timeout(delay)
+            raise RuntimeError(tag)
+
+        first = sim.process(failing(1.0, "first"))
+        second = sim.process(failing(2.0, "second"))
+        caught = []
+
+        def waiter():
+            try:
+                yield sim.all_of([first, second])
+            except RuntimeError as exc:
+                caught.append(str(exc))
+
+        sim.process(waiter())
+        sim.run()
+        assert caught == ["first"]
+        assert second.processed and second.ok is False
+
     def test_with_already_processed_children(self, sim):
         t1 = sim.timeout(1.0, "x")
         sim.run()
